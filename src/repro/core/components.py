@@ -343,20 +343,22 @@ class WindowBackEnd(Component):
         # take the globally oldest head (smallest ready_ord), skipping any
         # FU class already found full this cycle (`blocked_fu` bitmask —
         # sound because within one cycle FU slots only fill, never free).
-        # MSHR-rejected loads are set aside individually and restored to
-        # their FIFO fronts afterwards, so pick order next cycle matches
-        # the scan-based queue exactly. Age order + identical mem.access
-        # attempt sequence ⇒ bit-identical results.
+        # An MSHR-rejected load is parked until the earliest MSHR
+        # completion, then restored to its FIFO front (see IssueQueue):
+        # every retry skipped meanwhile would have been rejected, and a
+        # rejected retry uses no width and no FU slot, so the pick order
+        # and every successful mem.access match an eager retry exactly.
         iq = self.iq
         if iq._nready == 0:
             return 0
+        if iq._parked and c >= iq.park_until:
+            iq.unpark()
         ready = iq._ready
         issued = 0
         width = self.width
         fus = self.fus
         schedule = self.engine.schedule
         blocked_fu = 0
-        stashed: Dict[int, List[DynUop]] = {}
         while issued < width:
             m = iq._nonempty & ~blocked_fu
             u = None
@@ -383,8 +385,13 @@ class WindowBackEnd(Component):
             iq._nready -= 1
             if cls == _LOAD:
                 result = self.mem.access(st.addr, c, pc=st.pc)
-                if result is None:  # MSHRs full: retry next cycle
-                    stashed.setdefault(u_cls, []).append(u)
+                if result is None:
+                    # MSHRs full: no retry can succeed before the first
+                    # in-flight MSHR completes (exact after a rejection).
+                    # (inlined IssueQueue.park)
+                    iq._parked.append(u)
+                    iq._nready += 1
+                    iq.park_until = self.mem._mshr_min
                     continue
                 fus.issue(cls, c)  # AGU slot
                 done = result.done_cycle
@@ -406,12 +413,6 @@ class WindowBackEnd(Component):
             u.issue_cycle = c
             schedule(done, EV_WB, u)
             issued += 1
-        for fc, uops in stashed.items():
-            dq = ready[fc]
-            for u in reversed(uops):
-                dq.appendleft(u)
-            iq._nonempty |= 1 << fc
-            iq._nready += len(uops)
         return issued
 
     # =========================================================== dispatch

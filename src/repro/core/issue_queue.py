@@ -16,6 +16,17 @@ popping and requeueing every ready uop of that class. The
 ``iq-ready-coherence`` invariant (``repro.validate``) recomputes
 readiness from scratch under ``--validate`` to keep the incremental
 lists honest.
+
+A load the memory hierarchy rejects because every L1 MSHR is in flight
+is *parked*: taken off its class FIFO until ``park_until``, the earliest
+cycle an MSHR can free (docs/performance.md §4). Until then every retry
+would be rejected too, so select skips the load instead of re-probing
+the hierarchy every cycle. Parked loads stay counted as ready
+(``_nready``), so occupancy, dispatch capacity and quiescence are
+unchanged, and :meth:`unpark` returns them to the front of their FIFO —
+they are older than everything woken since — restoring the exact pick
+order. The ``mshr-park`` invariant checks that every skipped retry
+would indeed have been rejected.
 """
 
 from collections import deque
@@ -41,6 +52,10 @@ class IssueQueue:
         self._nonempty = 0
         #: next global wakeup-order stamp
         self._next_ord = 0
+        #: MSHR-rejected loads (oldest first), off the ready FIFOs but
+        #: counted in ``_nready``, and the cycle they may retry from
+        self._parked: List[DynUop] = []
+        self.park_until = 0
         #: extra entries claimed by runahead slice uops (lean runahead uses
         #: the *free* IQ entries, per PRE)
         self.runahead_used = 0
@@ -110,6 +125,24 @@ class IssueQueue:
         self._nonempty |= 1 << fc
         self._nready += 1
 
+    def park(self, uop: DynUop, until: int) -> None:
+        """Set aside a selected load the MSHRs rejected; it retries from
+        cycle ``until`` on (the earliest MSHR completion)."""
+        self._parked.append(uop)
+        self._nready += 1
+        self.park_until = until
+
+    def unpark(self) -> None:
+        """Return the parked loads, in age order, to the front of their
+        class FIFOs (the back end calls this once ``park_until`` is
+        reached)."""
+        ready = self._ready
+        for u in reversed(self._parked):
+            fc = u.static.fu_cls
+            ready[fc].appendleft(u)
+            self._nonempty |= 1 << fc
+        self._parked = []
+
     @property
     def ready_count(self) -> int:
         return self._nready
@@ -129,12 +162,20 @@ class IssueQueue:
                 self._ready[cls] = deque(kept)
                 if not kept:
                     self._nonempty &= ~(1 << cls)
+        parked = self._parked
+        if parked:
+            kept = [u for u in parked if not pred(u)]
+            removed = len(parked) - len(kept)
+            n += removed
+            self._nready -= removed
+            self._parked = kept
         return n
 
     def clear(self) -> None:
         self._waiting.clear()
         for dq in self._ready:
             dq.clear()
+        self._parked = []
         self._nready = 0
         self._nonempty = 0
         self.runahead_used = 0

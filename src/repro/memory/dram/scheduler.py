@@ -31,6 +31,7 @@ Refresh (``t_refi > 0``): every ``t_refi`` cycles each bank is blocked for
 banks as real controllers do, so refresh never blocks all banks at once.
 """
 
+from bisect import bisect_left, bisect_right, insort
 from typing import Dict, List, Tuple
 
 from repro.common.params import DramParams
@@ -123,6 +124,11 @@ class FrfcfsScheduler:
         self._ops: Dict[int, List[List[int]]] = {}
         #: per-channel booked bus bursts [start, end], sorted, disjoint.
         self._bus: Dict[int, List[List[int]]] = {}
+        #: per-channel sorted end cycles of the bursts with room for
+        #: another burst right behind them (the last burst always has) —
+        #: the only places a burst that cannot start when ready can land
+        self._bus_open: Dict[int, List[int]] = {}
+        self._width = params.bus_cycles_per_access
         #: per-bank next refresh window not yet materialised into _ops.
         self._next_ref: Dict[int, int] = {}
         self.bypasses = 0
@@ -192,11 +198,10 @@ class FrfcfsScheduler:
         # Bus: take the earliest free slot at/after the column access —
         # a burst delayed by refresh leaves the intervening bus idle for
         # other banks instead of head-of-line blocking them.
-        width = p.bus_cycles_per_access
-        slot = self._bus_slot(channel, data, width)
+        slot = self._bus_slot(channel, data)
         push = slot - data
         data = slot
-        self._bus_insert(channel, slot, slot + width)
+        self._bus_insert(channel, slot)
         ops.append([start, start + busy + push, row, arrive])
         self._prune(gbank, channel, arrive)
         return data, hit, stall
@@ -228,12 +233,12 @@ class FrfcfsScheduler:
             if oldest >= 0 and arrive - oldest > p.frfcfs_cap:
                 self.bypass_denied_age += 1
                 return None
-            slot = self._bus_slot(channel, g0 + hit_lat, width)
+            slot = self._bus_slot(channel, g0 + hit_lat)
             s = slot - hit_lat
             if s > g1 - width:
                 continue  # bus congestion pushed past the bank gap
             ops.insert(i + 1, [s, s + width, row, arrive])
-            self._bus_insert(channel, slot, slot + width)
+            self._bus_insert(channel, slot)
             self.bypasses += 1
             return slot
         return None
@@ -260,31 +265,45 @@ class FrfcfsScheduler:
                 latency = p.row_miss_latency
                 busy = p.t_rp + p.t_rcd + width
             data = start + latency
-            slot = self._bus_slot(channel, data, width)
+            slot = self._bus_slot(channel, data)
             end = start + busy + (slot - data)
             if end <= ops[k][0]:
                 ops.insert(k, [start, end, row, arrive])
-                self._bus_insert(channel, slot, slot + width)
+                self._bus_insert(channel, slot)
                 return slot, hit, 0
         return None
 
-    def _bus_slot(self, channel: int, t: int, width: int) -> int:
-        """Earliest cycle >= t where the channel bus is free for width."""
-        s = t
-        for iv in self._bus.get(channel, ()):
-            if iv[1] <= s:
-                continue
-            if iv[0] >= s + width:
-                break
-            s = iv[1]
-        return s
+    def _bus_slot(self, channel: int, t: int) -> int:
+        """Earliest cycle >= t where the channel bus is free for a burst.
 
-    def _bus_insert(self, channel: int, start: int, end: int) -> None:
+        Equivalent to scanning the bursts from ``t`` and hopping over
+        each one that overlaps the candidate slot, but both hops are
+        bisections: to the first burst ending after ``t``, and — when
+        that burst is in the way — to the first burst end after ``t``
+        with room behind it.
+        """
+        bus = self._bus.get(channel)
+        if not bus:
+            return t
+        i = _first_ending_after(bus, t)
+        if i == len(bus) or bus[i][0] >= t + self._width:
+            return t
+        opens = self._bus_open[channel]
+        return opens[bisect_right(opens, t)]
+
+    def _bus_insert(self, channel: int, start: int) -> None:
+        """Book a burst at ``start`` (a slot :meth:`_bus_slot` returned)."""
+        width = self._width
+        end = start + width
         bus = self._bus.setdefault(channel, [])
-        idx = len(bus)
-        while idx > 0 and bus[idx - 1][0] > start:
-            idx -= 1
-        bus.insert(idx, [start, end])
+        opens = self._bus_open.setdefault(channel, [])
+        i = bisect_left(bus, [start])
+        if i and start - bus[i - 1][1] < width:
+            # The burst before had room behind it; now it has not.
+            del opens[bisect_left(opens, bus[i - 1][1])]
+        if i == len(bus) or bus[i][0] - end >= width:
+            insort(opens, end)
+        bus.insert(i, [start, end])
 
     # ------------------------------------------------------------- refresh
 
@@ -329,13 +348,29 @@ class FrfcfsScheduler:
             self._ops[gbank] = keep if keep else ops[-1:]
         bus = self._bus.get(channel)
         if bus and len(bus) > 512:
-            keep = [iv for iv in bus if iv[1] >= margin]
-            self._bus[channel] = keep if keep else bus[-1:]
+            # Keep the bursts ending at or after the margin (at least one).
+            del bus[:min(_first_ending_after(bus, margin - 1),
+                         len(bus) - 1)]
+            opens = self._bus_open[channel]
+            del opens[:bisect_left(opens, bus[0][1])]
 
     def busy_banks(self, cycle: int) -> int:
         return sum(
             1 for ops in self._ops.values()
             if any(op[0] <= cycle < op[1] for op in ops))
+
+
+def _first_ending_after(bus: List[List[int]], t: int) -> int:
+    """Index of the first ``[start, end]`` burst with ``end > t``.
+
+    Bursts are sorted and disjoint, so their end cycles are sorted too:
+    bisect on the starts, then step back over the one burst that can
+    straddle ``t``.
+    """
+    i = bisect_left(bus, [t])  # first burst starting at or after t
+    if i and bus[i - 1][1] > t:
+        i -= 1
+    return i
 
 
 SCHEDULERS = ("fcfs", "frfcfs")

@@ -8,8 +8,10 @@ semantics) instead of issuing duplicate memory requests.
 
 L1 MSHRs bound demand memory-level parallelism: when all MSHRs are in
 flight, a new L1-missing access is rejected (returns ``None``) and the core
-retries later. Runahead prefetches are demand accesses issued during
-runahead mode and obey the same MSHR limit, exactly as in the paper.
+retries later; the back end parks the load until ``_mshr_min``, the first
+cycle a retry can succeed (docs/performance.md §4). Runahead prefetches
+are demand accesses issued during runahead mode and obey the same MSHR
+limit, exactly as in the paper.
 
 The instruction cache is assumed to always hit: catalog workloads are
 small loops whose code footprint trivially fits in the 32 KB L1I, so I-side
@@ -103,9 +105,6 @@ class MemoryHierarchy:
             done = alive
         return len(done)
 
-    def mshr_available(self, cycle: int) -> bool:
-        return self.mshr_in_use(cycle) < self.mshr_limit
-
     # ---------------------------------------------------------------- access
 
     def access(
@@ -146,7 +145,14 @@ class MemoryHierarchy:
             return AccessResult(cycle + lat_l1, "l1")
         l1.misses += 1
 
-        if not self.mshr_available(cycle):
+        # MSHR occupancy (inlined mshr_in_use). A rejection leaves
+        # ``_mshr_min`` equal to the earliest in-flight completion — the
+        # first cycle a retry can succeed, which the back end parks on.
+        mshrs = self._mshr_done
+        if mshrs and self._mshr_min <= cycle:
+            mshrs = self._mshr_done = [d for d in mshrs if d > cycle]
+            self._mshr_min = min(mshrs) if mshrs else 1 << 62
+        if len(mshrs) >= self.mshr_limit:
             self.rejected_mshr_full += 1
             return None
 

@@ -32,6 +32,13 @@ Invariant catalog (see docs/validation.md for the full rationale):
                    producers, per-class FIFOs are age-ordered
                    (``ready_ord`` strictly increasing), and the
                    ``_nready``/``_nonempty`` summaries match the lists.
+                   Parked (MSHR-rejected) loads count in ``_nready``,
+                   are age-ordered, and are older than every entry of
+                   their class FIFO, so unparking restores pick order.
+``mshr-park``      before ``park_until`` every parked load would still
+                   be rejected: its line is neither in flight nor in
+                   the L1, every L1 MSHR is in flight, and none
+                   completes before ``park_until``.
 ``fu-scoreboard``  the FU pool's O(1) free-slot counters agree with
                    ground truth recovered from the writeback event heap:
                    pipelined per-class slots used this cycle equal the
@@ -63,6 +70,7 @@ from typing import Dict
 from repro.common.enums import Mode
 from repro.core.engine import EV_WB, Component
 from repro.core.issue_queue import NUM_FU_CLASSES
+from repro.memory.hierarchy import LINE_MASK
 from repro.reliability.ace import STRUCTURES
 from repro.reliability.fault_injection import structure_bits
 
@@ -125,6 +133,7 @@ class InvariantChecker(Component):
         self.ra = core.runahead_ctl
         self.engine = core.engine
         self.fus = core.fus
+        self.mem = core.mem
         self.backend = core.backend
         self.fe_stage = core.frontend_stage
         self._struct_bits = structure_bits(core.machine.core)
@@ -249,6 +258,7 @@ class InvariantChecker(Component):
                 f"vs size {iq.size}")
 
         self._check_iq_ready(cycle, consumer_refs)
+        self._check_mshr_park(cycle)
         self._check_fu_scoreboard(cycle)
         self._check_quiescence(cycle)
 
@@ -268,31 +278,35 @@ class InvariantChecker(Component):
         nready = 0
         mask = 0
         seen = set()
+
+        def check_ready(u, where: str) -> None:
+            key = id(u)
+            if key in seen:
+                raise InvariantViolation(
+                    "iq-ready-coherence", cycle,
+                    f"{u!r} queued twice in the ready lists")
+            seen.add(key)
+            if u.pending != 0:
+                raise InvariantViolation(
+                    "iq-ready-coherence", cycle,
+                    f"{where} uop {u!r} has pending={u.pending}")
+            if consumer_refs.get(key, 0):
+                raise InvariantViolation(
+                    "iq-ready-coherence", cycle,
+                    f"{where} uop {u!r} still referenced by "
+                    f"{consumer_refs[key]} uncompleted producer(s)")
+            if u.squashed:
+                raise InvariantViolation(
+                    "iq-ready-coherence", cycle,
+                    f"squashed uop {u!r} still {where}")
+
         for fc, dq in enumerate(iq._ready):
             nready += len(dq)
             if dq:
                 mask |= 1 << fc
             prev_ord = -1
             for u in dq:
-                key = id(u)
-                if key in seen:
-                    raise InvariantViolation(
-                        "iq-ready-coherence", cycle,
-                        f"{u!r} queued twice in the ready lists")
-                seen.add(key)
-                if u.pending != 0:
-                    raise InvariantViolation(
-                        "iq-ready-coherence", cycle,
-                        f"ready uop {u!r} has pending={u.pending}")
-                if consumer_refs.get(key, 0):
-                    raise InvariantViolation(
-                        "iq-ready-coherence", cycle,
-                        f"ready uop {u!r} still referenced by "
-                        f"{consumer_refs[key]} uncompleted producer(s)")
-                if u.squashed:
-                    raise InvariantViolation(
-                        "iq-ready-coherence", cycle,
-                        f"squashed uop {u!r} still on a ready list")
+                check_ready(u, "ready")
                 if u.static.fu_cls != fc:
                     raise InvariantViolation(
                         "iq-ready-coherence", cycle,
@@ -305,10 +319,32 @@ class InvariantChecker(Component):
                         f"{u.ready_ord} after {prev_ord} "
                         f"(next stamp {iq._next_ord})")
                 prev_ord = u.ready_ord
+        prev_ord = -1
+        for u in iq._parked:
+            check_ready(u, "parked")
+            if not u.static.is_load:
+                raise InvariantViolation(
+                    "iq-ready-coherence", cycle,
+                    f"parked uop {u!r} is not a load")
+            if not prev_ord < u.ready_ord:
+                raise InvariantViolation(
+                    "iq-ready-coherence", cycle,
+                    f"parked loads out of age order: {u.ready_ord} "
+                    f"after {prev_ord}")
+            prev_ord = u.ready_ord
+            dq = iq._ready[u.static.fu_cls]
+            if dq and dq[0].ready_ord <= u.ready_ord:
+                raise InvariantViolation(
+                    "iq-ready-coherence", cycle,
+                    f"parked load {u!r} (stamp {u.ready_ord}) is not "
+                    f"older than its class FIFO head (stamp "
+                    f"{dq[0].ready_ord})")
+        nready += len(iq._parked)
         if nready != iq._nready:
             raise InvariantViolation(
                 "iq-ready-coherence", cycle,
-                f"_nready={iq._nready} but the class FIFOs hold {nready}")
+                f"_nready={iq._nready} but the class FIFOs and parked "
+                f"list hold {nready}")
         if mask != iq._nonempty:
             raise InvariantViolation(
                 "iq-ready-coherence", cycle,
@@ -330,6 +366,45 @@ class InvariantChecker(Component):
                     f"waiting uop {u!r} has pending={u.pending} but "
                     f"{refs} uncompleted producer reference(s)")
         self.ready_uops_checked += nready
+
+    def _check_mshr_park(self, cycle: int) -> None:
+        """Parked loads skip only retries that would have been rejected.
+
+        A side-effect-free probe of what ``MemoryHierarchy.access`` would
+        decide for each parked load right now: not a merge into an
+        in-flight fill, not an L1 hit, and no free MSHR. Nothing can
+        allocate an MSHR while all are in flight, so the earliest
+        in-flight completion is the first cycle a retry could succeed;
+        ``park_until`` must not lie beyond it.
+        """
+        iq = self.iq
+        if not iq._parked or cycle >= iq.park_until:
+            return
+        mem = self.mem
+        in_flight = [d for d in mem._mshr_done if d > cycle]
+        if len(in_flight) < mem.mshr_limit:
+            raise InvariantViolation(
+                "mshr-park", cycle,
+                f"{len(iq._parked)} load(s) parked until {iq.park_until} "
+                f"but only {len(in_flight)}/{mem.mshr_limit} MSHRs in "
+                f"flight")
+        if iq.park_until > min(in_flight):
+            raise InvariantViolation(
+                "mshr-park", cycle,
+                f"loads parked until {iq.park_until} but an MSHR frees "
+                f"at {min(in_flight)}")
+        for u in iq._parked:
+            line = u.static.addr & LINE_MASK
+            pending = mem._outstanding.get(line)
+            if pending is not None and pending[0] > cycle:
+                raise InvariantViolation(
+                    "mshr-park", cycle,
+                    f"parked load {u!r} would merge into the in-flight "
+                    f"fill of line {line:#x}")
+            if mem.l1d.contains(line):
+                raise InvariantViolation(
+                    "mshr-park", cycle,
+                    f"parked load {u!r} would hit line {line:#x} in L1")
 
     def _check_fu_scoreboard(self, cycle: int) -> None:
         """O(1) free-slot counters vs the writeback event heap.

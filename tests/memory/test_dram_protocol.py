@@ -1,6 +1,7 @@
 """Protocol presets, address mapping, FR-FCFS, refresh, and checkpointing."""
 
 import copy
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -300,6 +301,42 @@ class TestFrfcfs:
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError):
             make_scheduler(DramParams(scheduler="round-robin"))
+
+    @staticmethod
+    def _scan_bus_slot(bus, t, width):
+        """Reference: walk every booked burst from the start."""
+        s = t
+        for start, end in bus:
+            if end <= s:
+                continue
+            if start >= s + width:
+                break
+            s = end
+        return s
+
+    @pytest.mark.parametrize("preset", ["ddr3-1600", "hbm2"])
+    def test_bus_index_matches_linear_scan(self, preset):
+        """The bisected bus lookup agrees with a full scan, and the
+        open-slot index matches the booked bursts, through pruning."""
+        sched = FrfcfsScheduler(dram_preset(preset, scheduler="frfcfs"))
+        p, width = sched.params, sched.params.bus_cycles_per_access
+        rng = random.Random(7)
+        t = 0
+        for _ in range(3000):
+            t += rng.choice((0, 1, 2, 40))
+            sched.service(rng.randrange(p.channels),
+                          rng.randrange(p.num_banks), rng.randrange(4), t)
+            ch = rng.randrange(p.channels)
+            bus = sched._bus.get(ch, [])
+            assert all(a[1] <= b[0] for a, b in zip(bus, bus[1:]))
+            assert sched._bus_open.get(ch, []) == [
+                a[1] for a, b in zip(bus, bus[1:] + [[1 << 62]])
+                if b[0] - a[1] >= width]
+            probe = t + rng.randint(-500, 500)
+            assert sched._bus_slot(ch, probe) == \
+                self._scan_bus_slot(bus, probe, width)
+        if p.channels == 1:
+            assert sched._bus[0][0][0] > 0  # old bursts were pruned
 
 
 # --------------------------------------------------------------- checkpoint

@@ -239,3 +239,54 @@ class TestEventDrivenDetection:
         core.frontend_stage.quiesced = True
         with pytest.raises(InvariantViolation, match="quiesce-coherence"):
             core.checker.check_cycle(core.cycle)
+
+
+class TestMshrParking:
+    """MSHR-rejected loads parked in the IQ: ``iq-ready-coherence``
+    covers the parked list and ``mshr-park`` proves every skipped retry
+    would have been rejected."""
+
+    @staticmethod
+    def parked_core():
+        """A sanitized streambw core stepped to a cycle at which loads
+        are parked and their retry still lies ahead."""
+        core = sanitized_core(workload="streambw", policy="OOO",
+                              instructions=200)
+        iq = core.iq
+        TestEventDrivenDetection._step_until(
+            core, lambda: iq._parked and core.cycle < iq.park_until)
+        return core
+
+    def test_clean_run_parks(self):
+        core = self.parked_core()
+        core.checker.check_cycle(core.cycle)
+        assert core.mem.rejected_mshr_full > 0
+        assert len(core.iq) >= len(core.iq._parked) > 0
+
+    def test_late_park_until_detected(self):
+        core = self.parked_core()
+        core.iq.park_until += 1  # would skip the cycle an MSHR frees
+        with pytest.raises(InvariantViolation, match="mshr-park"):
+            core.checker.check_cycle(core.cycle)
+
+    def test_parked_line_in_l1_detected(self):
+        core = self.parked_core()
+        core.mem.l1d.insert(core.iq._parked[0].static.addr)
+        with pytest.raises(InvariantViolation, match="mshr-park"):
+            core.checker.check_cycle(core.cycle)
+
+    def test_parked_load_dropped_from_count_detected(self):
+        core = self.parked_core()
+        core.iq._parked.pop()  # lost without releasing its IQ entry
+        with pytest.raises(InvariantViolation, match="iq-ready-coherence"):
+            core.checker.check_cycle(core.cycle)
+
+    def test_parked_load_younger_than_fifo_detected(self):
+        core = self.parked_core()
+        iq = core.iq
+        load = iq._parked[0]
+        dq = iq._ready[load.static.fu_cls]
+        assert dq, "the ALU ops behind the parked loads keep issuing"
+        load.ready_ord = dq[0].ready_ord + 1
+        with pytest.raises(InvariantViolation, match="iq-ready-coherence"):
+            core.checker.check_cycle(core.cycle)
