@@ -220,14 +220,21 @@ class SimEngine(Component):
         candidates = [x for x in candidates if x > c]
         if not candidates:
             core = self.core
-            if self._stream_drained():
+            iq = core.iq
+            if iq._parked and iq.park_until > c:
+                # Loads wait on MSHRs held only by commit-time store
+                # write-allocates, whose completion schedules no event:
+                # wake when the first of those MSHRs frees.
+                candidates.append(iq.park_until)
+            elif self._stream_drained():
                 self.exhausted = True
                 raise TraceExhausted
-            raise RuntimeError(
-                f"simulator deadlock at cycle {c} "
-                f"(mode={self._ra.mode.name}, rob={len(core.rob)}, "
-                f"iq={len(core.iq)}, committed={self._stats.committed})"
-            )
+            else:
+                raise RuntimeError(
+                    f"simulator deadlock at cycle {c} "
+                    f"(mode={self._ra.mode.name}, rob={len(core.rob)}, "
+                    f"iq={len(iq)}, committed={self._stats.committed})"
+                )
         target = min(candidates)
         # Cycle c itself was accounted by step(); account the skipped span
         # (c+1 .. target-1) here, then land on `target`.
