@@ -344,16 +344,26 @@ class WindowBackEnd(Component):
         # FU class already found full this cycle (`blocked_fu` bitmask —
         # sound because within one cycle FU slots only fill, never free).
         # An MSHR-rejected load is parked until the earliest MSHR
-        # completion, then restored to its FIFO front (see IssueQueue):
-        # every retry skipped meanwhile would have been rejected, and a
-        # rejected retry uses no width and no FU slot, so the pick order
-        # and every successful mem.access match an eager retry exactly.
+        # completion (see IssueQueue). From then on the parked loads
+        # return to their FIFO front one at a time, oldest first: the
+        # next follows when one issues, and after a rejection the rest
+        # stay parked — until an MSHR frees they can only merge or hit,
+        # which needs an install of their line, and that sets
+        # mem.watch_hit, which returns them all. Every retry skipped
+        # would have been rejected, and a rejected retry uses no width
+        # and no FU slot, so the pick order and every successful
+        # mem.access match an eager retry exactly.
         iq = self.iq
         if iq._nready == 0:
             return 0
-        if iq._parked and c >= iq.park_until:
-            iq.unpark()
         ready = iq._ready
+        parked = iq._parked
+        if parked and c >= iq.park_until:
+            # Never ahead of an unparked load still waiting at the front.
+            dq = ready[parked[0].static.fu_cls]
+            if not dq or dq[0].ready_ord > parked[0].ready_ord:
+                iq.unpark_one()
+        mem = self.mem
         issued = 0
         width = self.width
         fus = self.fus
@@ -384,15 +394,18 @@ class WindowBackEnd(Component):
                 iq._nonempty &= ~(1 << u_cls)
             iq._nready -= 1
             if cls == _LOAD:
-                result = self.mem.access(st.addr, c, pc=st.pc)
+                result = mem.access(st.addr, c, pc=st.pc)
                 if result is None:
                     # MSHRs full: no retry can succeed before the first
-                    # in-flight MSHR completes (exact after a rejection).
-                    # (inlined IssueQueue.park)
-                    iq._parked.append(u)
-                    iq._nready += 1
-                    iq.park_until = self.mem._mshr_min
+                    # in-flight MSHR completes (exact after a rejection)
+                    # unless a parked load's line went live meanwhile.
+                    if mem.watch_hit:
+                        mem.watch_hit = False
+                        iq.unpark()
+                    iq.park(u, mem._mshr_min)
                     continue
+                if iq._parked and c >= iq.park_until:
+                    iq.unpark_one()  # the next parked load follows
                 fus.issue(cls, c)  # AGU slot
                 done = result.done_cycle
                 u.mem_level = result.level

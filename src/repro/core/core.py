@@ -191,6 +191,7 @@ class OutOfOrderCore:
         self.wrong_path_src = WrongPathSource(seed)
         self.rob = ReorderBuffer(p.rob_size, p.head_timer_init)
         self.iq = IssueQueue(p.iq_size)
+        self.mem.watch = self.iq._parked_lines
         self.lsq = LoadStoreQueues(p.lq_size, p.sq_size)
         self.regs = RegisterFiles(p.int_regs, p.fp_regs, p.arch_regs)
         self.fus = FuPool(p)

@@ -290,3 +290,72 @@ class TestMshrParking:
         load.ready_ord = dq[0].ready_ord + 1
         with pytest.raises(InvariantViolation, match="iq-ready-coherence"):
             core.checker.check_cycle(core.cycle)
+
+
+class TestOneAtATimeUnpark:
+    """From ``park_until`` on, parked loads return one at a time; the
+    rest stay parked while an MSHR may be free, which is exact only if
+    every install of a parked line raises ``mem.watch_hit``."""
+
+    @staticmethod
+    def lead_core():
+        """A parked core at the state where an MSHR just freed, the
+        oldest parked load came back to its FIFO front, and it waits
+        there unissued (select ran out of width or FU slots first)."""
+        core = TestMshrParking.parked_core()
+        iq = core.iq
+        iq.park_until = core.cycle
+        iq.unpark_one()
+        assert iq._parked, "more loads stay parked behind the first"
+        return core
+
+    def test_clean_lead_state(self):
+        core = self.lead_core()
+        core.checker.check_cycle(core.cycle)
+        assert core.mem.watch is core.iq._parked_lines
+
+    def test_dropped_line_count_detected(self):
+        core = TestMshrParking.parked_core()
+        lines = core.iq._parked_lines
+        line = next(iter(lines))
+        if lines[line] > 1:
+            lines[line] -= 1
+        else:
+            del lines[line]
+        with pytest.raises(InvariantViolation, match="iq-ready-coherence"):
+            core.checker.check_cycle(core.cycle)
+
+    def test_unpark_ahead_of_waiting_load_detected(self):
+        core = self.lead_core()
+        core.iq.unpark_one()  # jumps the older load still at the front
+        with pytest.raises(InvariantViolation, match="iq-ready-coherence"):
+            core.checker.check_cycle(core.cycle)
+
+    def test_prefetch_install_raises_watch_hit(self):
+        core = self.lead_core()
+        mem = core.mem
+        assert not mem.watch_hit
+        mem._issue_prefetch(core.iq._parked[0].static.addr & ~63,
+                            core.cycle)
+        assert mem.watch_hit
+        core.checker.check_cycle(core.cycle)
+
+    def test_prefetch_install_without_hook_detected(self):
+        core = self.lead_core()
+        mem = core.mem
+        watch, mem.watch = mem.watch, {}  # the install hook sees nothing
+        mem._issue_prefetch(core.iq._parked[0].static.addr & ~63,
+                            core.cycle)
+        mem.watch = watch
+        assert not mem.watch_hit
+        with pytest.raises(InvariantViolation, match="mshr-park"):
+            core.checker.check_cycle(core.cycle)
+
+    def test_watch_survives_checkpoint_fork(self):
+        cp = warm_checkpoint("streambw", BASELINE, "OOO", warmup=300)
+        core = cp.fork(validate=True)
+        assert core.mem.watch is core.iq._parked_lines
+        core.run(300)
+        core.mem.watch = dict(core.mem.watch)
+        with pytest.raises(InvariantViolation, match="mshr-park"):
+            core.checker.check_cycle(core.cycle)
