@@ -220,7 +220,11 @@ class FrfcfsScheduler:
         p = self.params
         width = p.bus_cycles_per_access
         hit_lat = p.row_hit_latency
-        for i in range(len(ops) - 1):
+        # Segments are sorted and disjoint: every gap closed by a segment
+        # starting before ``arrive + width`` is too short for the burst,
+        # so start at the last segment whose successor starts at or after.
+        first = bisect_left(ops, [arrive + width]) - 1
+        for i in range(first if first > 0 else 0, len(ops) - 1):
             cur = ops[i]
             if cur[2] != row:
                 continue
@@ -344,8 +348,10 @@ class FrfcfsScheduler:
         margin = now - 8192
         ops = self._ops[gbank]
         if len(ops) > 64:
-            keep = [op for op in ops if op[1] >= margin]
-            self._ops[gbank] = keep if keep else ops[-1:]
+            # Keep the segments ending at or after the margin (at least
+            # one); disjoint sorted segments have sorted ends.
+            del ops[:min(_first_ending_after(ops, margin - 1),
+                         len(ops) - 1)]
         bus = self._bus.get(channel)
         if bus and len(bus) > 512:
             # Keep the bursts ending at or after the margin (at least one).
@@ -360,15 +366,15 @@ class FrfcfsScheduler:
             if any(op[0] <= cycle < op[1] for op in ops))
 
 
-def _first_ending_after(bus: List[List[int]], t: int) -> int:
-    """Index of the first ``[start, end]`` burst with ``end > t``.
+def _first_ending_after(spans: List[List[int]], t: int) -> int:
+    """Index of the first ``[start, end, ...]`` span with ``end > t``.
 
-    Bursts are sorted and disjoint, so their end cycles are sorted too:
-    bisect on the starts, then step back over the one burst that can
-    straddle ``t``.
+    Spans (bus bursts, bank segments) are sorted and disjoint, so their
+    end cycles are sorted too: bisect on the starts, then step back over
+    the one span that can straddle ``t``.
     """
-    i = bisect_left(bus, [t])  # first burst starting at or after t
-    if i and bus[i - 1][1] > t:
+    i = bisect_left(spans, [t])  # first span starting at or after t
+    if i and spans[i - 1][1] > t:
         i -= 1
     return i
 
