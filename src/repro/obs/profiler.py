@@ -103,11 +103,18 @@ class HostProfiler:
 
     def profile_stages(self, core) -> None:
         """Wrap the pipeline components' stage methods with wall-clock
-        timers (instance-level shadowing, so only this core is slowed)."""
+        timers (instance-level shadowing, so only this core is slowed).
+
+        Idempotent per core: :meth:`start` runs at attach and again at
+        the measured region, and a stage already timed by this profiler
+        is not wrapped a second time (nested timers would count its
+        time twice)."""
         shares = self.stage_seconds
         for owner_attr, name, key in _STAGES:
             owner = getattr(core, owner_attr)
             bound = getattr(owner, name)
+            if getattr(bound, "_profiler", None) is self:
+                continue
             shares.setdefault(key, 0.0)
 
             def timed(*args, _fn=bound, _key=key, **kw):
@@ -117,6 +124,7 @@ class HostProfiler:
                 finally:
                     shares[_key] += time.perf_counter() - t
 
+            timed._profiler = self
             setattr(owner, name, timed)
 
     def stage_shares(self) -> Dict[str, float]:

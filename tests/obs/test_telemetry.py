@@ -1,6 +1,7 @@
 """End-to-end telemetry: attach, sample, trace, profile, reconcile."""
 
 import json
+import time
 
 import pytest
 
@@ -152,6 +153,28 @@ class TestProfiler:
         assert shares
         assert sum(shares.values()) == pytest.approx(1.0)
         assert all(v >= 0 for v in shares.values())
+
+    def test_stages_wrapped_once(self):
+        from repro.core.core import OutOfOrderCore
+        from repro.workloads.catalog import get_workload
+        tele = Telemetry(profile_stages=True)
+        core = OutOfOrderCore(BASELINE, get_workload("x264").build_trace(),
+                              telemetry=tele)
+        tele.begin_measurement(core)  # starts the profiler a second time
+        timed = core.backend._do_issue
+        assert timed._profiler is tele.profiler
+        # The timer wraps the stage itself, not another timer.
+        assert not hasattr(timed.__kwdefaults__["_fn"], "_profiler")
+
+    def test_stage_seconds_within_wall(self):
+        """Stage timers cover disjoint slices of the run, so they can
+        never sum past the wall time of the whole simulate() call."""
+        tele = Telemetry(profile_stages=True)
+        t0 = time.perf_counter()
+        simulate("mcf", BASELINE, "RAR", instructions=2000, warmup=1000,
+                 telemetry=tele)
+        wall = time.perf_counter() - t0
+        assert 0 < sum(tele.profiler.stage_seconds.values()) <= wall
 
     def test_heartbeat_stream(self):
         import io
