@@ -89,9 +89,11 @@ class RunKey:
     variant: str = ""
 
     @staticmethod
-    def digest(machine: MachineParams) -> str:
+    def digest(config) -> str:
+        """Short content hash of a configuration's ``repr`` (machine
+        params, or a workload spec)."""
         import hashlib
-        return hashlib.md5(repr(machine).encode()).hexdigest()[:10]
+        return hashlib.md5(repr(config).encode()).hexdigest()[:10]
 
     def as_str(self) -> str:
         base = (f"{self.workload}|{self.machine}|{self.policy}"

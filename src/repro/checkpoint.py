@@ -19,33 +19,43 @@ results accordingly.
 
 Implementation notes (see docs/architecture.md for the full story):
 
-- Capture is one ``copy.deepcopy`` of all structures + component states
-  with a single shared memo, so cross-structure references (the same
-  ``DynUop`` sitting in the ROB, the IQ and the event heap; the PRDQ's
-  register-file pointer; ACE's bound ``FuPool.exec_cycles`` method)
-  stay consistent inside the blob.
-- The trace, machine and policy are *seeded into the memo* and shared,
-  not copied: ``Trace`` lazily buffers a generator (not copyable, and
-  append-only deterministic, so sharing is safe in-process) and the
-  params are frozen dataclasses.
-- Restore never replaces a structure object: each live structure's
-  ``__dict__`` is cleared and refilled in place, with the fork's memo
-  pre-seeded ``{id(blob_structure): live_structure}`` so references
-  between structures resolve to the live objects. In-place restore is
-  what keeps the components' cached references and the stats registry's
-  bound getters valid — the registry is never copied; a fresh core's
-  registry reads the restored objects.
+- Capture is one ``pickle`` dump of all structures' ``__dict__`` +
+  component states + stats into a byte blob. Pickle's memo keeps
+  cross-structure references consistent inside the blob (the same
+  ``DynUop`` sitting in the ROB, the IQ and the event heap is one
+  object after a load).
+- A ``persistent_id`` writes some objects as references instead of
+  copies: the thirteen structure objects themselves (so the PRDQ's
+  register-file pointer, ACE's bound ``FuPool.exec_cycles`` and
+  ``mem.watch is iq._parked_lines`` land on the live objects), the
+  trace, machine and policy, observer hooks (wiring, not state: they
+  load as ``None``) and the immutable leaves — ``StaticUop``, ``str``
+  and the frozen params dataclasses. Sharing the strings matters: a
+  fresh ``"dram"`` or dict-key copy loses the identity fast path of
+  string comparison and slows the measured run.
+- Fork is one ``Unpickler.load`` resolving those references against
+  the fresh core; restore never replaces a structure object: each
+  live structure's ``__dict__`` is cleared and refilled in place.
+  In-place restore is what keeps the components' cached references and
+  the stats registry's bound getters valid — the registry is never
+  captured; a fresh core's registry reads the restored objects.
 """
 
-import copy
+import io
+import pickle
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.common.params import (
     DEFAULT_INSTRUCTIONS,
     DEFAULT_WARMUP,
+    CacheParams,
+    CoreParams,
+    DramParams,
+    FuParams,
     MachineParams,
+    PrefetcherParams,
 )
 from repro.core.core import OutOfOrderCore
 from repro.core.fastfwd import (
@@ -54,6 +64,8 @@ from repro.core.fastfwd import (
 )
 from repro.core.runahead import OOO, RunaheadPolicy, get_policy
 from repro.isa.trace import Trace
+from repro.isa.uop import StaticUop
+from repro.memory.dram import DramProtocol
 from repro.sim import SimResult, _delta_result, _snapshot
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.catalog import get_workload
@@ -69,18 +81,35 @@ CORE_STRUCTURES = (
 )
 
 
+#: Immutable leaf types a blob refers to instead of copying. Sharing the
+#: strings keeps the identity fast path of string comparison and dict
+#: lookup for the live run; static uops are owned by the trace.
+_SHARED_TYPES = frozenset((
+    StaticUop, str, FuParams, CoreParams, CacheParams, DramParams,
+    PrefetcherParams, MachineParams, DramProtocol, RunaheadPolicy,
+))
+
+#: Persistent ids are plain ints — an index into the structures, then
+#: into the checkpoint's shared objects. (The C pickler sends the items
+#: of a tuple id through ``persistent_id`` again; a shared ``str`` tag
+#: would recurse.)
+_N_STRUCTURES = len(CORE_STRUCTURES)
+
+
 @dataclass
 class Checkpoint:
-    """Deep-copied image of a warmed core, forkable into many runs.
+    """Pickled image of a warmed core, forkable into many runs.
 
     Holds everything :func:`simulate_from` needs to reconstruct the
     moment right after warmup: the run coordinates (workload/machine/
     policy/warmup/seed), the shared trace, and the state blob. The blob
-    is private — each fork deep-copies it again, so one checkpoint can
-    seed any number of runs without cross-contamination.
+    is immutable bytes — each fork unpickles it afresh, so one
+    checkpoint can seed any number of runs without cross-contamination.
 
-    Not picklable (the trace buffers a generator): multiprocess sweeps
-    create checkpoints inside each worker rather than shipping them.
+    Process-local: the blob refers to the trace, the params and the
+    shared leaves in ``_shared`` by index, and the trace buffers a
+    generator. Multiprocess sweeps create checkpoints inside each worker
+    rather than shipping them.
     """
 
     workload: str
@@ -91,37 +120,62 @@ class Checkpoint:
     record_ace_intervals: bool
     trace: Trace                    # shared, append-only — never copied
     warmup_mode: str = DEFAULT_WARMUP_MODE  # how warmup was produced
-    _blob: Dict[str, Any] = field(repr=False, default_factory=dict)
+    _blob: bytes = field(repr=False, default=b"")
+    #: objects the blob refers to by reference (persistent ids
+    #: ``_N_STRUCTURES`` onward): trace, machine, policy, ``None`` for
+    #: observer hooks, then every shared leaf met during capture
+    _shared: List[Any] = field(repr=False, default_factory=list)
 
     @classmethod
     def capture(cls, core: OutOfOrderCore, workload: str, warmup: int,
                 seed: Optional[int],
                 warmup_mode: str = DEFAULT_WARMUP_MODE) -> "Checkpoint":
         """Snapshot a live core's complete mutable state."""
-        raw = {
-            "structures": {name: getattr(core, name)
+        shared: List[Any] = [core.trace, core.machine, core.policy, None]
+        refs: Dict[int, int] = {id(getattr(core, name)): i
+                                for i, name in enumerate(CORE_STRUCTURES)}
+        for i, obj in enumerate(shared[:3], _N_STRUCTURES):
+            refs[id(obj)] = i
+        # Observer hooks are wiring, not state: they load as the
+        # ``None`` in ``shared``.
+        for hook in (core.mem.observer, core.observer):
+            if hook is not None:
+                refs[id(hook)] = _N_STRUCTURES + 3
+
+        def persistent_id(obj):
+            ref = refs.get(id(obj))
+            if ref is None and type(obj) in _SHARED_TYPES:
+                # ``shared`` keeps obj alive, so its id stays unique.
+                ref = refs[id(obj)] = _N_STRUCTURES + len(shared)
+                shared.append(obj)
+            return ref
+
+        out = io.BytesIO()
+        pickler = pickle.Pickler(out, pickle.HIGHEST_PROTOCOL)
+        pickler.persistent_id = persistent_id
+        pickler.dump({
+            "structures": {name: getattr(core, name).__dict__
                            for name in CORE_STRUCTURES},
             "components": {comp.name: comp.snapshot_state()
                            for comp in core.components},
             "stats": core.stats.snapshot(),
-        }
-        memo: Dict[int, Any] = {
-            id(core.trace): core.trace,
-            id(core.machine): core.machine,
-            id(core.policy): core.policy,
-        }
-        # Observer hooks are wiring, not state: never capture them.
-        if core.mem.observer is not None:
-            memo[id(core.mem.observer)] = None
-        if core.observer is not None:
-            memo[id(core.observer)] = None
-        blob = copy.deepcopy(raw, memo)
+        })
         return cls(workload=workload, machine=core.machine,
                    policy=core.policy, warmup=warmup, seed=seed,
                    record_ace_intervals=core.record_ace_intervals,
                    trace=core.trace,
                    warmup_mode=validate_warmup_mode(warmup_mode),
-                   _blob=blob)
+                   _blob=out.getvalue(), _shared=shared)
+
+    def _decode(self, core: OutOfOrderCore) -> Dict[str, Any]:
+        """Unpickle a fresh copy of the captured state for ``core``:
+        ``{"structures", "components", "stats"}``, every structure
+        reference resolved to ``core``'s own objects."""
+        table = [getattr(core, name) for name in CORE_STRUCTURES]
+        table += self._shared
+        unpickler = pickle.Unpickler(io.BytesIO(self._blob))
+        unpickler.persistent_load = table.__getitem__
+        return unpickler.load()
 
     def restore_into(self, core: OutOfOrderCore) -> None:
         """Load this checkpoint's state into a freshly built core.
@@ -130,30 +184,14 @@ class Checkpoint:
         machine and trace. All structure objects are mutated in place so
         the core's component bindings and registry getters stay valid.
         """
-        blob = self._blob
-        # One memo per fork: every blob-side object maps to the live
-        # object that is being refilled, so any reference from one
-        # structure into another (prdq._regs, ace's bound FU method,
-        # DynUops shared between ROB / IQ / event heap) lands on the
-        # live instance — and shared DynUop identity survives the fork.
-        memo: Dict[int, Any] = {
-            id(self.trace): self.trace,
-            id(self.machine): self.machine,
-            id(self.policy): self.policy,
-        }
-        for name in CORE_STRUCTURES:
-            memo[id(blob["structures"][name])] = getattr(core, name)
-
-        for name in CORE_STRUCTURES:
-            live = getattr(core, name)
-            state = {k: copy.deepcopy(v, memo)
-                     for k, v in blob["structures"][name].__dict__.items()}
-            live.__dict__.clear()
-            live.__dict__.update(state)
+        state = self._decode(core)
+        for name, attrs in state["structures"].items():
+            live = getattr(core, name).__dict__
+            live.clear()
+            live.update(attrs)
         for comp in core.components:
-            comp.restore_state(copy.deepcopy(blob["components"][comp.name],
-                                             memo))
-        for attr, value in blob["stats"].items():
+            comp.restore_state(state["components"][comp.name])
+        for attr, value in state["stats"].items():
             setattr(core.stats, attr, value)
 
     def fork(self, policy: Union[RunaheadPolicy, str, None] = None,
@@ -328,17 +366,19 @@ class CheckpointCache:
     processes alive across sweep requests; each worker holds one of
     these so two requests touching the same workload share a single
     warmup instead of paying it twice. Sharing is safe because
-    :meth:`Checkpoint.fork` deep-copies the state blob per run — a
+    :meth:`Checkpoint.fork` unpickles the state blob afresh per run — a
     cached checkpoint seeds any number of measurements bit-identically
     to a freshly warmed one (the checkpoint contract).
 
-    The key pins everything the warmed state depends on: workload name,
-    the *full* machine configuration (via the params digest, so two
-    machines sharing a display name never collide), the policy warmup
-    ran under, the warmup length and the trace seed. ``validate`` rides
-    along too — a sanitized warmup is bit-identical, but keeping the
-    slots separate means a cache hit never silently changes whether the
-    warmup itself was checked.
+    The key pins everything the warmed state depends on: workload name
+    and a digest of the workload's fields (two specs sharing a name
+    never collide), the *full* machine configuration (via the params
+    digest, so two machines sharing a display name never collide), the
+    policy warmup ran under, the warmup length and the trace seed
+    actually used (the spec's own seed when none is passed).
+    ``validate`` rides along too — a sanitized warmup is bit-identical,
+    but keeping the slots separate means a cache hit never silently
+    changes whether the warmup itself was checked.
     """
 
     def __init__(self, capacity: int = 4):
@@ -353,12 +393,16 @@ class CheckpointCache:
         return len(self._entries)
 
     @staticmethod
-    def _key(workload_name: str, machine: MachineParams, policy_name: str,
+    def _key(spec, machine: MachineParams, policy_name: str,
              warmup: int, seed: Optional[int], validate: bool,
              warmup_mode: str = DEFAULT_WARMUP_MODE) -> Tuple:
         from repro.analysis.experiments import RunKey
-        return (workload_name, RunKey.digest(machine), policy_name,
-                warmup, seed, validate, warmup_mode)
+        # The trace seed actually used: ``build_trace`` falls back to the
+        # spec's own seed when none is passed.
+        if seed is None:
+            seed = getattr(spec, "seed", None)
+        return (spec.name, RunKey.digest(spec), RunKey.digest(machine),
+                policy_name, warmup, seed, validate, warmup_mode)
 
     def get_or_warm(
         self,
@@ -382,7 +426,7 @@ class CheckpointCache:
         spec = get_workload(workload) if isinstance(workload, str) \
             else workload
         pol = get_policy(policy) if isinstance(policy, str) else policy
-        key = self._key(spec.name, machine, pol.name, warmup, seed,
+        key = self._key(spec, machine, pol.name, warmup, seed,
                         validate, warmup_mode)
         cached = self._entries.get(key)
         if cached is not None:

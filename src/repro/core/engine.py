@@ -10,7 +10,7 @@ cycle.
 The split is what makes warm-state checkpointing possible: every component
 declares the mutable state it owns (``state_attrs``) and exposes
 ``snapshot_state()``/``restore_state()``, so ``repro.checkpoint`` can
-capture a consistently deep-copied image of a warmed core and fork many
+capture a consistent pickled image of a warmed core and fork many
 measurement runs from it (see docs/architecture.md).
 """
 
@@ -81,8 +81,8 @@ class Component:
 
     def snapshot_state(self) -> Dict[str, object]:
         """The component's mutable state, by attribute name (not copied —
-        the checkpoint layer deep-copies all components with one shared
-        memo so cross-component object identity is preserved)."""
+        the checkpoint layer pickles all components in one dump, whose
+        memo preserves cross-component object identity)."""
         return {attr: getattr(self, attr) for attr in self.state_attrs}
 
     def restore_state(self, state: Dict[str, object]) -> None:

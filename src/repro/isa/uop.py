@@ -72,11 +72,6 @@ class StaticUop:
         self.is_branch = cls == _BRANCH
         self.is_mem = self.is_load or self.is_store
 
-    def __deepcopy__(self, memo) -> "StaticUop":
-        # Immutable and owned by the trace: checkpoint deep-copies share
-        # the instance instead of duplicating the whole unrolled program.
-        return self
-
     @property
     def uop_class(self) -> UopClass:
         return UopClass(self.cls)

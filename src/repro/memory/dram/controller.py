@@ -14,8 +14,8 @@ one channel, refresh off, ``fcfs``, row-interleaved mapping) it is
 bit-identical to the original single-protocol model; the golden gate pins
 that contract.
 
-State is plain dicts/lists/ints throughout so checkpoint fork/restore can
-deep-copy a controller mid-burst and the fork replays identically.
+State is plain dicts/lists/ints throughout so checkpoint capture can
+pickle a controller mid-burst and the fork replays identically.
 """
 
 from typing import List
